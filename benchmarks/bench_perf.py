@@ -1,4 +1,4 @@
-"""Inference throughput — fast path, int8 kernels and the cascade.
+"""Inference throughput — fast path and the cascade.
 
 Times ``match_many`` for every architecture on the same workload
 (dblp-acm record pairs, each unique pair matched twice so the
@@ -7,13 +7,12 @@ tokenization cache sees repeats):
 1. baseline — serial per-pair matching, fused kernels off, no cache:
    the pre-optimization path;
 2. fast — length-bucketed batches + fused no-tape kernels + cache;
-3. int8 — the fast path over calibrated per-channel quantized weights
-   (gated on decision consistency with the float path, not speed);
-4. cascade — DistilBERT screens every pair, ambiguous ones escalate to
+3. cascade — DistilBERT screens every pair, ambiguous ones escalate to
    RoBERTa; the aggregate floor is >= 4x the RoBERTa serial baseline
-   with cascade F1 within tolerance of RoBERTa-only.
+   with cascade F1 within tolerance of RoBERTa-only, and the speedup
+   over fast-path RoBERTa is reported next to it.
 
-Every floor lives in ``repro.perf.PerfGates``; the schema-2 report is
+Every floor lives in ``repro.perf.PerfGates``; the schema-3 report is
 recorded in ``BENCH_perf.json`` at the repo root.  ``--smoke`` runs a
 few pairs only to validate plumbing and the report schema.  Decisions
 must agree between paths — a speedup that changes answers is a bug,
@@ -47,19 +46,14 @@ def _format_report(report: dict) -> str:
             f"({entry['speedup']:.2f}x, cache hit rate "
             f"{cache['hit_rate']:.2f}, decisions "
             f"{'ok' if entry['decisions_consistent'] else 'DIVERGED'})")
-        quantized = entry["quantized"]
-        if quantized:
-            lines.append(
-                f"    int8   {quantized['pairs_per_sec']:8.1f} pairs/s  "
-                f"(consistency {quantized['consistency']:.3f}, "
-                f"artifact {quantized['artifact_bytes'] / 1024:.0f} KiB)")
     cascade = report["cascade"]
     if cascade:
         band = cascade["band"]
         lines.append(
             f"  cascade {cascade['primary']} -> {cascade['secondary']}: "
             f"{cascade['pairs_per_sec']:.1f} pairs/s, "
-            f"{cascade['aggregate_speedup']:.2f}x aggregate, band "
+            f"{cascade['aggregate_speedup']:.2f}x over serial, "
+            f"{cascade['fast_speedup']:.2f}x over fast, band "
             f"[{band['lo']:.3f}, {band['hi']:.3f}], escalation "
             f"{cascade['escalation_rate'] * 100.0:.1f}%, F1 delta "
             f"{cascade['f1']['delta']:+.4f}")
@@ -103,7 +97,6 @@ def test_perf_throughput(benchmark):
                for e in report["architectures"].values())
     acc = report["acceptance"]
     assert all(gate["passed"] for gate in acc["architectures"].values())
-    assert all(gate["passed"] for gate in acc["quantization"].values())
     assert acc["cascade"] is None or acc["cascade"]["passed"]
     assert acc["f1"] is None or acc["f1"]["passed"]
 
@@ -111,7 +104,7 @@ def test_perf_throughput(benchmark):
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="match_many throughput: serial vs. fused/bucketed "
-                    "vs. int8 vs. the DistilBERT->RoBERTa cascade")
+                    "vs. the DistilBERT->RoBERTa cascade")
     parser.add_argument("--smoke", action="store_true",
                         help="few pairs, schema check only (CI)")
     parser.add_argument("--pairs", type=int, default=200)

@@ -55,11 +55,6 @@ RA118  retry-without-backoff          loops that catch a serve error around a
                                       ``submit`` call and retry with no
                                       backoff/sleep — a tight retry loop
                                       hammers an overloaded service
-RA119  quant-int8-promotion           arithmetic on a raw int8 quant payload
-                                      (``*.q`` / ``*_int8`` / ``q8_*``)
-                                      without ``.astype`` — NEP 50 promotes
-                                      the mix to float64, silently breaking
-                                      the float32-accumulation contract
 RA120  cross-product-materialization  ``itertools.product(records_a,
                                       records_b)``-style pairing of record
                                       collections (or the nested-comprehension
@@ -961,77 +956,6 @@ class _RetryWithoutBackoff(LintRule):
         return False
 
 
-class _QuantInt8Promotion(LintRule):
-    """Arithmetic on a raw int8 quantization payload silently leaves the
-    float32-accumulation contract: under NEP 50, ``int8_array * 0.5``
-    (or any mix with a python float / float64 scalar) promotes to
-    float64 — no error, just a 2x-wider accumulator and results that
-    drift from the calibrated kernels.  Quantized call sites must cast
-    the payload first (``.astype(ACC_DTYPE)``, the cached ``q32`` copy,
-    or ``dequantize()``); this rule flags payload-looking operands —
-    the ``.q`` attribute of a quantized artifact, or ``q8_*`` /
-    ``*_int8`` names — used directly in arithmetic or in a numpy
-    contraction call."""
-
-    id = "RA119"
-    name = "quant-int8-promotion"
-    hint = ("cast the int8 payload before arithmetic: .astype(ACC_DTYPE) "
-            "(or the QuantizedLinear.q32 cached copy, or dequantize()) "
-            "so accumulation stays float32 instead of NEP-50-promoting "
-            "to float64")
-
-    #: int8-payload naming convention; deliberately does NOT match a
-    #: bare ``q`` (that is the attention query, a float array).
-    _NAME = re.compile(r"(^|_)(q8|int8)(_|$)")
-    _CONTRACTIONS = ("matmul", "dot", "einsum", "tensordot", "inner")
-
-    def check(self, module: SourceModule) -> Iterator[Violation]:
-        if not module.imports_nn():
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.BinOp):
-                for side in (node.left, node.right):
-                    if self._is_payload(side):
-                        yield self._flag(module, node, side)
-            elif isinstance(node, ast.AugAssign):
-                for side in (node.target, node.value):
-                    if self._is_payload(side):
-                        yield self._flag(module, node, side)
-            elif (isinstance(node, ast.Call)
-                  and _is_np_attribute(node.func, *self._CONTRACTIONS)):
-                for arg in node.args:
-                    if self._is_payload(arg):
-                        yield self._flag(module, node, arg)
-
-    def _flag(self, module: SourceModule, node: ast.AST,
-              payload: ast.AST) -> Violation:
-        label = (payload.attr if isinstance(payload, ast.Attribute)
-                 else getattr(payload, "id", "<payload>"))
-        return self.violation(
-            module, node,
-            f"arithmetic on raw int8 payload {label!r} — NEP 50 promotes "
-            f"an int8 array mixed with float scalars to float64, silently "
-            f"widening the accumulator the quantized kernels calibrated "
-            f"for float32")
-
-    def _is_payload(self, node: ast.AST) -> bool:
-        # Unwrap views that keep the payload dtype: .T and slicing.  An
-        # .astype(...) wrapper is a Call, so a cast payload never
-        # reaches the checks below — the sanctioned form passes free.
-        while True:
-            if isinstance(node, ast.Attribute) and node.attr == "T":
-                node = node.value
-            elif isinstance(node, ast.Subscript):
-                node = node.value
-            else:
-                break
-        if isinstance(node, ast.Attribute):
-            return node.attr == "q"
-        if isinstance(node, ast.Name):
-            return bool(self._NAME.search(node.id))
-        return False
-
-
 class _CrossProductMaterialization(LintRule):
     """Pairing two record collections directly is the O(n²) explosion
     the blocking layer exists to prevent: 100k x 100k records is 10
@@ -1122,7 +1046,6 @@ _RULES: tuple[LintRule, ...] = (
     _BlockingSleepInServe(),
     _SpanWithoutContextManager(),
     _RetryWithoutBackoff(),
-    _QuantInt8Promotion(),
     _CrossProductMaterialization(),
 ) + CONCURRENCY_RULES
 

@@ -7,7 +7,7 @@ whose probability lands inside a calibrated **ambiguity band**
 ``(lo, hi)`` escalate to the expensive *secondary*.  Outside the band
 the primary's decision is already confident and is returned untouched —
 bit-identical to primary-only matching (pinned by property tests in
-``tests/test_quant.py``).
+``tests/test_cascade.py``).
 
 Band selection (:func:`calibrate_band`) is empirical, on validation
 data: both models score the validation pairs once, then the smallest
@@ -182,8 +182,7 @@ class CascadeEngine:
 
 def build_cascade(primary, secondary, validation,
                   threshold: float = 0.5, tolerance: float = 0.005,
-                  batch_size: int = 64, quantized: bool = False,
-                  registry=None) -> CascadeEngine:
+                  batch_size: int = 64, registry=None) -> CascadeEngine:
     """Calibrate and assemble a cascade from two fitted matchers.
 
     ``primary`` / ``secondary`` are fitted
@@ -191,13 +190,11 @@ def build_cascade(primary, secondary, validation,
     DistilBERT and RoBERTa); ``validation`` an :class:`EMDataset` held
     out from fine-tuning.  Both models score the validation pairs once,
     :func:`calibrate_band` picks the narrowest F1-preserving band, and
-    the returned :class:`CascadeEngine` wraps both engines —
-    ``quantized=True`` additionally routes the primary through its
-    calibrated int8 kernels (requires ``primary.quantize(...)`` first).
+    the returned :class:`CascadeEngine` wraps both engines.
     """
     pairs = [(pair.record_a, pair.record_b) for pair in validation.pairs]
     labels = validation.labels()
-    primary_engine = primary.engine(quantized=quantized)
+    primary_engine = primary.engine()
     secondary_engine = secondary.engine()
     primary_probs = [outcome.probability for outcome in
                      primary_engine.score_pairs(pairs, fallback=False,

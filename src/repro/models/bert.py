@@ -63,10 +63,8 @@ class BertEmbeddings(Module):
         total = total + self.position.weight.data[positions]
         total += self.segment.weight.data[segment_ids]
         if match_features is not None and self.match_proj is not None:
-            # Raw matmul, not fused.linear: this projection must stay
-            # outside the quantization dispatch (calibration quantizes
-            # every fused.linear weight it sees) and outside the kernel
-            # call counters.
+            # Raw matmul, not fused.linear: this projection stays out
+            # of the kernel call counters.
             total += match_features @ self.match_proj.weight.data.T
         return fused.layer_norm(total, self.norm.weight.data,
                                 self.norm.bias.data, eps=self.norm.eps)
@@ -128,8 +126,8 @@ class BertModel(Module):
         cls_state = hidden[:, cls_index, :]
         if self.pooler is None:
             return cls_state
-        # Raw ops, not fused.linear: the pooler must stay outside the
-        # quantization dispatch and the kernel call counters.
+        # Raw ops, not fused.linear: the pooler stays out of the kernel
+        # call counters.
         pooled = cls_state @ self.pooler.weight.data.T
         pooled += self.pooler.bias.data
         return np.tanh(pooled, out=pooled)

@@ -58,8 +58,8 @@ class DistilBertEmbeddings(Module):
         total = self.token.weight.data[input_ids]
         total = total + self.position.weight.data[positions]
         if match_features is not None and self.match_proj is not None:
-            # Raw matmul, not fused.linear: keep this projection outside
-            # the quantization dispatch and the kernel call counters.
+            # Raw matmul, not fused.linear: keep this projection out of
+            # the kernel call counters.
             total += match_features @ self.match_proj.weight.data.T
         return fused.layer_norm(total, self.norm.weight.data,
                                 self.norm.bias.data, eps=self.norm.eps)

@@ -57,9 +57,8 @@ class SequenceClassifier(Module):
     def fused_head(self, pooled: np.ndarray) -> np.ndarray:
         """No-tape array path for the classification head, bit-identical
         to :meth:`forward` (dropout is identity while the tape is off)."""
-        # Raw ops, not fused.linear: the head must stay outside the
-        # quantization dispatch (calibration quantizes every
-        # fused.linear weight it sees) and the kernel call counters.
+        # Raw ops, not fused.linear: the head stays out of the kernel
+        # call counters.
         features = pooled @ self.hidden_layer.weight.data.T
         features += self.hidden_layer.bias.data
         np.tanh(features, out=features)

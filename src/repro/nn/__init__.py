@@ -6,8 +6,7 @@ encoders and RNN baselines, losses, and optimizers.
 """
 
 from .attention import MultiHeadAttention, padding_attention_mask
-from .fused import quantized_inference, record_activations
-from .init import ACC_DTYPE, DTYPE
+from .init import DTYPE
 from .layers import (Dropout, Embedding, GELU, LayerNorm, Linear, ReLU,
                      Sequential, Tanh)
 from .losses import (binary_cross_entropy_with_logits, cosine_embedding_loss,
@@ -15,9 +14,6 @@ from .losses import (binary_cross_entropy_with_logits, cosine_embedding_loss,
 from .module import Module, ModuleList, Parameter
 from .optim import (Adam, ConstantSchedule, LinearSchedule, SGD,
                     clip_grad_norm)
-from .quant import (ConsistencyReport, QuantizedLinear, QuantizedWeights,
-                    calibrate_quantization, decision_consistency,
-                    dequantize, quantize_per_channel)
 from .rnn import BiRNN, GRUCell, LSTMCell
 from .serialization import (CheckpointError, apply_state_dict,
                             array_checksum, load_checkpoint, load_module,
@@ -27,7 +23,7 @@ from .tensor import (Tensor, fused_kernels, inference_mode, is_fused_enabled,
 
 __all__ = [
     "Tensor", "no_grad", "inference_mode", "fused_kernels",
-    "is_grad_enabled", "is_fused_enabled", "DTYPE", "ACC_DTYPE",
+    "is_grad_enabled", "is_fused_enabled", "DTYPE",
     "Module", "ModuleList", "Parameter",
     "Linear", "Embedding", "LayerNorm", "Dropout", "Sequential",
     "GELU", "ReLU", "Tanh",
@@ -38,7 +34,4 @@ __all__ = [
     "SGD", "Adam", "LinearSchedule", "ConstantSchedule", "clip_grad_norm",
     "save_checkpoint", "load_checkpoint", "save_module", "load_module",
     "CheckpointError", "apply_state_dict", "array_checksum",
-    "QuantizedLinear", "QuantizedWeights", "ConsistencyReport",
-    "quantize_per_channel", "dequantize", "calibrate_quantization",
-    "decision_consistency", "quantized_inference", "record_activations",
 ]

@@ -8,22 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ACC_DTYPE", "DTYPE", "normal", "uniform", "xavier_uniform",
+__all__ = ["DTYPE", "normal", "uniform", "xavier_uniform",
            "kaiming_uniform", "zeros", "ones"]
 
 # All trainable weights use float32: at the model sizes of this
 # reproduction it halves memory traffic and roughly doubles throughput
 # with no measurable effect on training quality.
 DTYPE = np.float32
-
-# Accumulation dtype for the int8 quantized kernels (repro.nn.quant /
-# repro.nn.fused q-kernels).  int8 payloads must be cast to this before
-# any arithmetic: under NEP 50 an int8 array mixed with a python float
-# promotes to float64, silently breaking the float32-accumulation
-# contract (lint rule RA119 guards call sites).  Defined here because
-# this module is the single sanctioned home for concrete float dtypes
-# (RA102).
-ACC_DTYPE = np.float32
 
 
 def normal(rng: np.random.Generator, shape: tuple[int, ...],

@@ -1,22 +1,21 @@
-"""The performance benchmark behind ``repro bench perf`` (schema v2).
+"""The performance benchmark behind ``repro bench perf`` (schema v3).
 
 Measures ``match_many`` throughput (pairs/sec) for every architecture
 under the pre-optimization path (serial per-pair matching, fused kernels
-off, no tokenization cache), the fast path (length-bucketed batches,
-fused no-tape kernels, tokenization cache), and — new in schema 2 — the
-**int8 quantized** fast path (calibrated per-channel kernels, see
-DESIGN.md §16) plus the **DistilBERT→RoBERTa confidence cascade**.  The
-cascade section carries the headline aggregate number: cascade pairs/sec
-over the RoBERTa pre-optimization baseline on the same workload, gated
-at ≥4× with cascade F1 within tolerance of RoBERTa-only.
+off, no tokenization cache) and the fast path (length-bucketed batches,
+fused no-tape kernels, tokenization cache), plus the
+**DistilBERT→RoBERTa confidence cascade** (see DESIGN.md §16).  The
+cascade section reports its speedup against both RoBERTa baselines on
+the same workload: ``aggregate_speedup`` over the serial path, gated at
+≥4× with cascade F1 within tolerance of RoBERTa-only, and
+``fast_speedup`` over the fast path, reported only.
 
 Every acceptance floor lives in :class:`PerfGates` (per-architecture
-speedups, the cascade aggregate, the quantization decision-consistency
-floor, the F1 tolerance) instead of scattered hard-coded constants;
-:class:`PerfConfig` bundles the gates with the quantization/cascade
-knobs.  The report is written to ``BENCH_perf.json`` with ``"schema": 2``
-so downstream consumers can detect the field change instead of silently
-misreading v1 files.
+speedups, the cascade aggregate, the F1 tolerance) instead of scattered
+hard-coded constants; :class:`PerfConfig` bundles the gates with the
+cascade knobs.  The report is written to ``BENCH_perf.json`` with
+``"schema": 3`` so downstream consumers can detect field changes
+instead of silently misreading older files.
 
 Imports from ``repro.matching`` stay inside the functions: the matching
 layer imports ``repro.perf`` for its scheduling/caching primitives, so a
@@ -37,7 +36,7 @@ __all__ = ["run_perf_benchmark", "write_report", "validate_report",
 DEFAULT_ARCHS = ("bert", "roberta", "distilbert", "xlnet")
 
 #: Report schema version stamped into BENCH_perf.json.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Legacy alias (schema-1 name) for the BERT fast-path floor; kept so
 #: existing consumers of the constant keep reading the same gate.
@@ -53,10 +52,12 @@ _REPORT_KEYS = ("benchmark", "schema", "smoke", "config",
                 "architectures", "cascade", "acceptance")
 _ARCH_KEYS = ("pairs", "baseline_seconds", "baseline_pairs_per_sec",
               "fast_seconds", "fast_pairs_per_sec", "speedup", "phases",
-              "cache", "decisions_consistent", "quantized")
-_ACCEPTANCE_KEYS = ("enforced", "passed", "architectures",
-                    "quantization", "cascade", "f1", "bert_speedup",
-                    "threshold")
+              "cache", "decisions_consistent")
+_CASCADE_KEYS = ("primary", "secondary", "band", "pairs_per_sec",
+                 "aggregate_speedup", "fast_speedup", "escalation_rate",
+                 "f1")
+_ACCEPTANCE_KEYS = ("enforced", "passed", "architectures", "cascade",
+                    "f1", "bert_speedup", "threshold")
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,12 @@ class PerfGates:
     ``arch_speedups`` maps architecture -> fast-path speedup floor (as a
     name/floor tuple so the config stays hashable);
     ``cascade_speedup`` is the aggregate cascade-over-RoBERTa-baseline
-    floor; ``consistency_floor`` the minimum decision-agreement fraction
-    for the int8 path; ``f1_tolerance`` how far cascade F1 may trail
-    RoBERTa-only F1.
+    floor; ``f1_tolerance`` how far cascade F1 may trail RoBERTa-only
+    F1.
     """
 
     arch_speedups: tuple[tuple[str, float], ...] = _ARCH_SPEEDUP_FLOORS
     cascade_speedup: float = 4.0
-    consistency_floor: float = 1.0
     f1_tolerance: float = 0.005
 
     def arch_floor(self, arch: str) -> float:
@@ -84,18 +83,14 @@ class PerfGates:
         """JSON-ready view for the report's config section."""
         return {"arch_speedups": dict(self.arch_speedups),
                 "cascade_speedup": self.cascade_speedup,
-                "consistency_floor": self.consistency_floor,
                 "f1_tolerance": self.f1_tolerance}
 
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """Benchmark configuration: gates plus quantization/cascade knobs.
+    """Benchmark configuration: gates plus cascade knobs.
 
-    ``quantize`` toggles the int8 calibration + timing per
-    architecture; ``cascade`` the two-model cascade section;
-    ``calibration_pairs`` how many training pairs feed the calibration
-    sweep (an equal held-out slice gates decision consistency);
+    ``cascade`` toggles the two-model cascade section;
     ``primary``/``secondary`` name the cascade's cheap and strong
     models; ``repeats`` is the best-of-N count for every timed path
     (scheduler interference only ever adds time, so the minimum is the
@@ -104,9 +99,7 @@ class PerfConfig:
     """
 
     gates: PerfGates = field(default_factory=PerfGates)
-    quantize: bool = True
     cascade: bool = True
-    calibration_pairs: int = 64
     primary: str = "distilbert"
     secondary: str = "roberta"
     repeats: int = 3
@@ -146,8 +139,8 @@ def _build_workload(num_pairs: int, seed: int):
     The workload cycles the test split's pairs up to the requested
     count with the unique pool capped at half the workload, so every
     record really is re-matched at least once — the cacheable shape.
-    Train/validation stay held out for fitting, quantization
-    calibration, and cascade band selection.
+    Train/validation stay held out for fitting and cascade band
+    selection.
     """
     from ..data import load_benchmark, split_dataset
     from ..utils import child_rng
@@ -159,15 +152,6 @@ def _build_workload(num_pairs: int, seed: int):
     base = base[:max(1, num_pairs // 2)]
     pairs = [base[i % len(base)] for i in range(num_pairs)]
     return splits, pairs
-
-
-def _calibration_split(train, count: int):
-    """Disjoint (calibration, holdout) pair lists from the train split."""
-    pairs = [(p.record_a, p.record_b) for p in train.pairs]
-    count = max(1, min(count, len(pairs) // 2 or 1))
-    calibration = pairs[:count]
-    holdout = pairs[count:2 * count] or calibration
-    return calibration, holdout
 
 
 def _fit_matcher(arch: str, splits, seed: int, zoo_dir):
@@ -184,8 +168,7 @@ def _fit_matcher(arch: str, splits, seed: int, zoo_dir):
     return matcher
 
 
-def _bench_arch(matcher, pairs, batch_size: int, config: PerfConfig,
-                calibration, holdout) -> dict:
+def _bench_arch(matcher, pairs, batch_size: int, config: PerfConfig) -> dict:
     from ..nn import fused_kernels
     from ..obs import default_registry
     tokenizer = matcher.pretrained.tokenizer
@@ -207,7 +190,7 @@ def _bench_arch(matcher, pairs, batch_size: int, config: PerfConfig,
         config.repeats, setup=cache.clear)
 
     n = len(pairs)
-    entry = {
+    return {
         "pairs": n,
         "baseline_seconds": baseline_seconds,
         "baseline_pairs_per_sec": n / max(baseline_seconds, 1e-9),
@@ -224,35 +207,6 @@ def _bench_arch(matcher, pairs, batch_size: int, config: PerfConfig,
                   "hit_rate": cache.hit_rate},
         "decisions_consistent": all(
             a.matched == b.matched for a, b in zip(baseline, fast)),
-        "quantized": None,
-    }
-    if config.quantize:
-        entry["quantized"] = _bench_quantized(
-            matcher, pairs, batch_size, config, calibration, holdout)
-    return entry
-
-
-def _bench_quantized(matcher, pairs, batch_size: int, config: PerfConfig,
-                     calibration, holdout) -> dict:
-    """Calibrate int8 weights, gate decision consistency, time the path."""
-    matcher.quantize(calibration, batch_size=batch_size)
-    report = matcher.quantization_consistency(holdout,
-                                              batch_size=batch_size)
-    cache = matcher.ensure_token_cache()
-    seconds, _ = _best_seconds(
-        lambda: matcher.match_many(pairs, fast=True,
-                                   batch_size=batch_size, quantized=True),
-        config.repeats, setup=cache.clear)
-    floor = config.gates.consistency_floor
-    return {
-        "calibration_pairs": len(calibration),
-        "holdout_pairs": report.pairs,
-        "seconds": seconds,
-        "pairs_per_sec": len(pairs) / max(seconds, 1e-9),
-        "consistency": report.consistency,
-        "max_probability_delta": report.max_probability_delta,
-        "decisions_consistent": report.passed(floor),
-        "artifact_bytes": matcher.quantized_weights.nbytes,
     }
 
 
@@ -260,12 +214,9 @@ def _bench_cascade(primary, secondary, splits, pairs, batch_size: int,
                    config: PerfConfig, architectures: dict) -> dict:
     """Calibrate the ambiguity band and time the two-model cascade."""
     from ..matching import build_cascade, evaluate_predictions
-    quantized_primary = (config.quantize
-                         and primary.quantized_weights is not None)
     cascade = build_cascade(primary, secondary, splits.validation,
                             tolerance=config.gates.f1_tolerance,
-                            batch_size=batch_size,
-                            quantized=quantized_primary)
+                            batch_size=batch_size)
     band = cascade.calibration
 
     test_pairs = [(p.record_a, p.record_b) for p in splits.test.pairs]
@@ -289,23 +240,34 @@ def _bench_cascade(primary, secondary, splits, pairs, batch_size: int,
         config.repeats, setup=_clear_caches)
 
     n = len(pairs)
-    baseline_seconds = architectures.get(
-        config.secondary, {}).get("baseline_seconds")
-    aggregate = (baseline_seconds / max(seconds, 1e-9)
-                 if baseline_seconds else 0.0)
+    secondary_entry = architectures.get(config.secondary, {})
+    baseline_seconds = secondary_entry.get("baseline_seconds")
+    fast_seconds = secondary_entry.get("fast_seconds")
+
+    def speedup(reference_seconds):
+        return (reference_seconds / max(seconds, 1e-9)
+                if reference_seconds else 0.0)
+
+    def rate(reference_seconds):
+        return (n / max(reference_seconds, 1e-9)
+                if reference_seconds else 0.0)
+
     return {
         "primary": config.primary,
         "secondary": config.secondary,
-        "quantized_primary": quantized_primary,
         "band": {"lo": band.lo, "hi": band.hi,
                  "validation_escalation_rate": band.escalation_rate},
         "pairs": n,
         "seconds": seconds,
         "pairs_per_sec": n / max(seconds, 1e-9),
+        # Two baselines on the same workload: the secondary's serial,
+        # unfused path (gated) and its fast path (reported).
         "baseline_seconds": baseline_seconds,
-        "baseline_pairs_per_sec": (
-            n / max(baseline_seconds, 1e-9) if baseline_seconds else 0.0),
-        "aggregate_speedup": aggregate,
+        "baseline_pairs_per_sec": rate(baseline_seconds),
+        "aggregate_speedup": speedup(baseline_seconds),
+        "fast_baseline_seconds": fast_seconds,
+        "fast_baseline_pairs_per_sec": rate(fast_seconds),
+        "fast_speedup": speedup(fast_seconds),
         "escalation_rate": cascade.last_escalation_rate(),
         "f1": {"cascade": f1_cascade, "secondary": f1_secondary,
                "delta": f1_cascade - f1_secondary},
@@ -322,14 +284,6 @@ def _acceptance(architectures: dict, cascade: dict | None,
             "speedup": entry["speedup"], "floor": floor,
             "passed": bool(entry["speedup"] >= floor
                            and entry["decisions_consistent"])}
-    quant_results = {}
-    for arch, entry in architectures.items():
-        quantized = entry.get("quantized")
-        if quantized is not None:
-            quant_results[arch] = {
-                "consistency": quantized["consistency"],
-                "floor": gates.consistency_floor,
-                "passed": bool(quantized["decisions_consistent"])}
     cascade_result = None
     f1_result = None
     if cascade is not None:
@@ -345,7 +299,6 @@ def _acceptance(architectures: dict, cascade: dict | None,
             # beyond tolerance fails.
             "passed": bool(delta >= -gates.f1_tolerance)}
     checks = [result["passed"] for result in arch_results.values()]
-    checks += [result["passed"] for result in quant_results.values()]
     if cascade_result is not None:
         checks.append(cascade_result["passed"])
     if f1_result is not None:
@@ -357,7 +310,6 @@ def _acceptance(architectures: dict, cascade: dict | None,
         "enforced": not smoke,
         "passed": bool(smoke or all(checks)),
         "architectures": arch_results,
-        "quantization": quant_results,
         "cascade": cascade_result,
         "f1": f1_result,
         # Legacy schema-1 fields, kept for continuity of the historical
@@ -379,15 +331,13 @@ def run_perf_benchmark(archs=DEFAULT_ARCHS, num_pairs: int = 200,
         # Smoke validates plumbing/schema, never timing — one repeat.
         config = replace(config, repeats=1)
     splits, pairs = _build_workload(num_pairs, seed)
-    calibration, holdout = _calibration_split(
-        splits.train, 8 if smoke else config.calibration_pairs)
     architectures = {}
     matchers = {}
     for arch in archs:
         matcher = _fit_matcher(arch, splits, seed, zoo_dir)
         matchers[arch] = matcher
         architectures[arch] = _bench_arch(matcher, pairs, batch_size,
-                                          config, calibration, holdout)
+                                          config)
     cascade = None
     if (config.cascade and config.primary in matchers
             and config.secondary in matchers):
@@ -401,9 +351,7 @@ def run_perf_benchmark(archs=DEFAULT_ARCHS, num_pairs: int = 200,
         "smoke": bool(smoke),
         "config": {"archs": list(archs), "pairs": num_pairs,
                    "seed": seed, "batch_size": batch_size,
-                   "quantize": config.quantize,
                    "cascade": config.cascade,
-                   "calibration_pairs": config.calibration_pairs,
                    "repeats": config.repeats,
                    "gates": config.gates.as_dict()},
         "architectures": architectures,
@@ -432,8 +380,7 @@ def validate_report(report: dict) -> list[str]:
                 problems.append(f"architectures[{arch!r}] missing {key!r}")
     cascade = report.get("cascade")
     if cascade is not None:
-        for key in ("primary", "secondary", "band", "pairs_per_sec",
-                    "aggregate_speedup", "escalation_rate", "f1"):
+        for key in _CASCADE_KEYS:
             if key not in cascade:
                 problems.append(f"cascade missing {key!r}")
     acceptance = report.get("acceptance", {})

@@ -38,19 +38,6 @@ class TestParser:
             ["match", "roberta", "dblp-acm", "--cascade"])
         assert args.cascade is True
 
-    def test_calibrate_args(self):
-        args = build_parser().parse_args(
-            ["calibrate", "distilbert", "dblp-acm", "--pairs", "32",
-             "--output", "w.npz"])
-        assert args.arch == "distilbert"
-        assert args.pairs == 32
-        assert args.output == "w.npz"
-        assert args.smoke is False
-
-    def test_calibrate_arch_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["calibrate", "gpt", "dblp-acm"])
-
     def test_bench_batch_size_defaults_by_suite(self):
         args = build_parser().parse_args(["bench", "perf"])
         assert args.batch_size is None  # resolved per-suite at runtime

@@ -362,6 +362,17 @@ class TestBenchReport:
         problems = validate_report({"benchmark": "other"})
         assert any("architectures" not in p for p in problems)
         assert any("must be 'perf'" in p for p in problems)
+        # A schema-2 file (cascade with only the serial baseline) is
+        # flagged: wrong version, missing fast-path speedup.
+        stale = {"benchmark": "perf", "schema": 2,
+                 "cascade": {"primary": "distilbert",
+                             "secondary": "roberta", "band": {},
+                             "pairs_per_sec": 1.0,
+                             "aggregate_speedup": 5.0,
+                             "escalation_rate": 0.2, "f1": {}}}
+        problems = validate_report(stale)
+        assert any("schema field must be 3" in p for p in problems)
+        assert "cascade missing 'fast_speedup'" in problems
 
     def test_bench_script_smoke(self, tiny_zoo_dir, tmp_path):
         out = tmp_path / "BENCH_perf.json"
