@@ -19,9 +19,8 @@ with registry counter increments and histogram observes:
 
 from __future__ import annotations
 
-import time
-
 from repro.analysis.concurrency import RaceDetector
+from repro.bench import best_of
 from repro.obs import MetricsRegistry
 from repro.perf.cache import LRUCache
 from repro.utils.concurrency import access_hook, lock_factory
@@ -50,15 +49,6 @@ def _make_workload():
     return workload
 
 
-def _min_time(workload, reps: int = _REPS) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        workload()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_lockset_off_overhead(benchmark):
     workload = _make_workload()
 
@@ -71,10 +61,10 @@ def test_lockset_off_overhead(benchmark):
         workload()  # warm allocator and code paths before timing
         cycles = []
         for _ in range(_CYCLES):
-            before = _min_time(workload)
+            before, _ = best_of(workload, _REPS)
             with RaceDetector():
-                on = _min_time(workload, reps=1)
-            after = _min_time(workload)
+                on, _ = best_of(workload, 1)
+            after, _ = best_of(workload, _REPS)
             cycles.append((before, on, after))
         return cycles
 

@@ -16,11 +16,10 @@ dblp-acm split with a 2-layer BERT):
 
 from __future__ import annotations
 
-import time
-
+from repro.bench import best_of, tiny_zoo_settings
 from repro.data import load_benchmark, split_dataset
 from repro.matching import FineTuneConfig, fine_tune
-from repro.pretraining import ZooSettings, get_pretrained
+from repro.pretraining import get_pretrained
 from repro.resilience import ResilienceConfig
 from repro.utils import child_rng
 
@@ -30,11 +29,8 @@ _REPS = 3
 
 
 def _make_run(tmp_dir):
-    settings = ZooSettings(base_steps=25, base_examples=150,
-                           tokenizer_sentences=150, vocab_size=220,
-                           d_model=32, num_layers=2, num_heads=2,
-                           max_position=64, seq_len=32)
-    pretrained = get_pretrained("bert", seed=0, settings=settings,
+    pretrained = get_pretrained("bert", seed=0,
+                                settings=tiny_zoo_settings(),
                                 zoo_dir=tmp_dir / "zoo")
     data = load_benchmark("dblp-acm", seed=7, scale=0.03)
     splits = split_dataset(data, child_rng(7, "split", "dblp-acm"))
@@ -47,24 +43,15 @@ def _make_run(tmp_dir):
     return run
 
 
-def _min_run_time(run, reps: int = _REPS, **kwargs) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        run(**kwargs)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_resilience_off_overhead(benchmark, tmp_path):
     run = _make_run(tmp_path)
 
     def measure():
-        baseline = _min_run_time(run)
+        baseline, _ = best_of(run, _REPS)
         armed = ResilienceConfig(checkpoint_dir=tmp_path / "ck",
                                  checkpoint_every=5)
-        on = _min_run_time(run, reps=1, resilience=armed)
-        off = _min_run_time(run)
+        on, _ = best_of(lambda: run(resilience=armed), 1)
+        off, _ = best_of(run, _REPS)
         return baseline, on, off
 
     baseline, on, off = run_once(benchmark, measure)

@@ -16,11 +16,10 @@ cross-entropy + backward + Adam step on a 2-layer BERT classifier):
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.analysis import detect_anomalies
+from repro.bench import best_of
 from repro.models import SequenceClassifier, build_backbone, default_config
 from repro.nn import Adam, Tensor, cross_entropy
 
@@ -49,27 +48,18 @@ def _make_step():
     return model, step
 
 
-def _min_step_time(step, reps: int = _REPS) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        step()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_sanitizer_off_overhead(benchmark):
     _, step = _make_step()
     pristine_make = Tensor._make
     pristine_backward = Tensor.backward
 
     def measure():
-        before = _min_step_time(step)
+        before, _ = best_of(step, _REPS)
         # No parameters= audit here: the bench model legitimately leaves
         # its match-feature weights unused (no match_features input).
         with detect_anomalies(check_dead_leaves=False):
-            on = _min_step_time(step, reps=3)
-        after = _min_step_time(step)
+            on, _ = best_of(step, 3)
+        after, _ = best_of(step, _REPS)
         return before, on, after
 
     before, on, after = run_once(benchmark, measure)

@@ -48,18 +48,15 @@ Commands
     cluster matches into stable entity ids and write the cluster
     artifact.
 ``bench``
-    Run a benchmark suite; ``bench perf`` measures serial vs. fast
-    ``match_many`` throughput and writes ``BENCH_perf.json``;
-    ``bench serve`` replays seeded load through the micro-batching
-    match service and writes ``BENCH_serve.json``;
-    ``bench resilient`` measures availability under seeded chaos
-    (naive client vs the fault-tolerance tier) and the tier's
-    chaos-off overhead, writing ``BENCH_resilient.json``;
-    ``bench blocking`` measures blocking recall vs. reduction on
-    generated catalogs under an enforced 100k-scale gate, writing
-    ``BENCH_blocking.json``.
-``serve-bench``
-    Shorthand for ``bench serve``.
+    Run a benchmark suite and write ``BENCH_<suite>.json``: ``perf``
+    (serial vs. fast ``match_many`` throughput and the cascade),
+    ``resilient`` (availability under seeded chaos, naive client vs
+    the fault-tolerance tier, plus the tier's chaos-off overhead) or
+    ``blocking`` (blocking recall vs. reduction under the enforced
+    100k-record gate).  Every suite reports through :mod:`repro.bench`:
+    one report shape with a host record and gate list, one text view,
+    exit code 0 on pass or ``--smoke``, 1 on a failed gate, 2 on an
+    invalid report.
 """
 
 from __future__ import annotations
@@ -67,6 +64,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .bench import tiny_zoo_settings
 from .data import benchmark_names, load_benchmark, save_dataset, \
     split_dataset
 from .utils import child_rng
@@ -237,52 +235,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="clusters.json",
                    help="cluster artifact path (default clusters.json)")
 
-    for name in ("bench", "serve-bench"):
-        if name == "bench":
-            p = sub.add_parser("bench", help="run a benchmark suite")
-            p.add_argument("suite",
-                           choices=["perf", "serve", "resilient",
-                                    "blocking"],
-                           help="perf: serial vs. fast match_many "
-                                "throughput; serve: micro-batching "
-                                "service throughput/latency under load; "
-                                "resilient: availability under seeded "
-                                "chaos plus the fault-tolerance tier's "
-                                "chaos-off overhead; blocking: recall "
-                                "vs. reduction of the blocker family on "
-                                "generated catalogs")
-        else:
-            p = sub.add_parser(
-                "serve-bench",
-                help="shorthand for `bench serve`: micro-batching "
-                     "service load benchmark")
-            p.set_defaults(suite="serve")
-        p.add_argument("--smoke", action="store_true",
-                       help="few pairs, no acceptance enforcement (CI)")
-        p.add_argument("--pairs", type=int, default=200,
-                       help="number of record pairs to match (default 200)")
-        p.add_argument("--batch-size", type=int, default=None,
-                       help="inference batch size (default: 64 for the "
-                            "perf suite, 32 otherwise)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--arch", default="bert",
-                       choices=["bert", "roberta", "distilbert", "xlnet"],
-                       help="architecture for the serve suite "
-                            "(default bert; perf benches all four)")
-        p.add_argument("--max-wait-ms", type=float, default=10.0,
-                       help="serve suite: micro-batcher flush horizon "
-                            "(default 10 ms)")
-        p.add_argument("--requests", type=int, default=1000,
-                       help="resilient suite: chaos-phase request count "
-                            "(default 1000)")
-        p.add_argument("--records", type=int, default=100_000,
-                       help="blocking suite: gate-scale catalog size "
-                            "(default 100000)")
-        p.add_argument("--output", default=None,
-                       help="report path (default: BENCH_<suite>.json)")
-        p.add_argument("--zoo-dir", default=None,
-                       help="model-zoo cache directory (default: "
-                            "REPRO_ZOO_DIR or ~/.cache/repro/zoo)")
+    p = sub.add_parser("bench", help="run a benchmark suite")
+    p.add_argument("suite", choices=["perf", "resilient", "blocking"],
+                   help="perf: serial vs. fast match_many throughput; "
+                        "resilient: availability under seeded chaos plus "
+                        "the fault-tolerance tier's chaos-off overhead; "
+                        "blocking: recall vs. reduction of the blocker "
+                        "family on generated catalogs")
+    p.add_argument("--smoke", action="store_true",
+                   help="few pairs, no acceptance enforcement (CI)")
+    p.add_argument("--pairs", type=int, default=200,
+                   help="number of record pairs to match (default 200)")
+    p.add_argument("--batch-size", type=int, default=None,
+                   help="inference batch size (default: 64 for the "
+                        "perf suite, 32 for the resilient suite)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="workload seed (default: 0, or 7 for the "
+                        "blocking suite)")
+    p.add_argument("--arch", default="bert",
+                   choices=["bert", "roberta", "distilbert", "xlnet"],
+                   help="architecture for the resilient suite "
+                        "(default bert; perf benches all four)")
+    p.add_argument("--max-wait-ms", type=float, default=10.0,
+                   help="resilient suite: micro-batcher flush horizon "
+                        "(default 10 ms)")
+    p.add_argument("--requests", type=int, default=1000,
+                   help="resilient suite: chaos-phase request count "
+                        "(default 1000)")
+    p.add_argument("--records", type=int, default=100_000,
+                   help="blocking suite: gate-scale catalog size "
+                        "(default 100000)")
+    p.add_argument("--output", default=None,
+                   help="report path (default: BENCH_<suite>.json)")
+    p.add_argument("--zoo-dir", default=None,
+                   help="model-zoo cache directory (default: "
+                        "REPRO_ZOO_DIR or ~/.cache/repro/zoo)")
 
     return parser
 
@@ -313,14 +300,6 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
-def _smoke_zoo_settings():
-    from .pretraining import ZooSettings
-    return ZooSettings(base_steps=25, base_examples=150,
-                       tokenizer_sentences=150, vocab_size=220,
-                       d_model=32, num_layers=2, num_heads=2,
-                       max_position=64, seq_len=32)
-
-
 def _run_match(arch: str, dataset: str, scale: float, epochs: int,
                seed: int, smoke: bool, zoo_dir, telemetry,
                checkpoint_dir=None, checkpoint_every: int = 25,
@@ -333,7 +312,7 @@ def _run_match(arch: str, dataset: str, scale: float, epochs: int,
     splits = split_dataset(data, child_rng(seed, "split"))
     matcher = EntityMatcher(
         arch, finetune_config=FineTuneConfig(epochs=epochs),
-        zoo_settings=_smoke_zoo_settings() if smoke else None,
+        zoo_settings=tiny_zoo_settings() if smoke else None,
         zoo_dir=zoo_dir)
 
     run = None
@@ -394,7 +373,7 @@ def _run_cascade(args) -> int:
         return 2
     data = load_benchmark(args.dataset, seed=args.seed, scale=args.scale)
     splits = split_dataset(data, child_rng(args.seed, "split"))
-    settings = _smoke_zoo_settings() if args.smoke else None
+    settings = tiny_zoo_settings() if args.smoke else None
 
     def fitted(arch: str) -> EntityMatcher:
         print(f"fine-tuning {arch}:")
@@ -585,88 +564,6 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _cmd_bench_serve(args) -> int:
-    from .serve import (run_serve_benchmark, validate_serve_report,
-                        write_serve_report)
-    from .serve.bench import EFFICIENCY_FLOOR
-    report = run_serve_benchmark(arch=args.arch, num_pairs=args.pairs,
-                                 seed=args.seed, zoo_dir=args.zoo_dir,
-                                 batch_size=args.batch_size,
-                                 max_wait_ms=args.max_wait_ms,
-                                 smoke=args.smoke)
-    problems = validate_serve_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    path = write_serve_report(report,
-                              args.output or "BENCH_serve.json")
-    baseline = report["baseline"]
-    print(f"serial baseline: {baseline['pairs_per_sec']:.1f} pairs/sec")
-    for name, level in report["levels"].items():
-        print(f"{name} load: {level['completed']}/{level['offered']} "
-              f"completed at {level['throughput']:.1f} req/sec "
-              f"(p50 {level['p50_latency_ms']:.1f} ms, "
-              f"p95 {level['p95_latency_ms']:.1f} ms, "
-              f"{level['rejected']} rejected, "
-              f"{level['timeouts']} timed out)")
-    acceptance = report["acceptance"]
-    print(f"report written to {path}")
-    if acceptance["enforced"] and not acceptance["passed"]:
-        print(f"error: serving efficiency "
-              f"{acceptance['efficiency_at_top_load']:.2f} below the "
-              f"{EFFICIENCY_FLOOR} acceptance floor", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_resilient(args) -> int:
-    from .serve import (run_resilient_benchmark, validate_resilient_report,
-                        write_resilient_report)
-    report = run_resilient_benchmark(arch=args.arch, num_pairs=args.pairs,
-                                     seed=args.seed, zoo_dir=args.zoo_dir,
-                                     batch_size=args.batch_size,
-                                     max_wait_ms=args.max_wait_ms,
-                                     num_requests=args.requests,
-                                     smoke=args.smoke)
-    problems = validate_resilient_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    path = write_resilient_report(report,
-                                  args.output or "BENCH_resilient.json")
-    overhead = report["overhead"]
-    chaos = report["chaos"]
-    print(f"chaos-off overhead: "
-          f"{overhead['overhead_fraction'] * 100.0:.2f}% "
-          f"(best of {overhead['cycles']} cycles, "
-          f"median {overhead['median_overhead_fraction'] * 100.0:+.2f}%, "
-          f"budget {overhead['budget'] * 100.0:.0f}%)")
-    for side in ("naive", "resilient"):
-        stats = chaos[side]
-        print(f"{side} under chaos: {stats['completed']}/{stats['offered']} "
-              f"completed ({stats['availability'] * 100.0:.2f}% "
-              f"availability, {stats['rejected']} rejected, "
-              f"{stats['timeouts']} timed out, {stats['errors']} errors)")
-    print(f"{chaos['respawns']} replica respawn(s), "
-          f"{chaos['retries']} retries spent")
-    acceptance = report["acceptance"]
-    print(f"report written to {path}")
-    if acceptance["enforced"] and not acceptance["passed"]:
-        print("error: resilience acceptance failed: "
-              f"overhead {acceptance['overhead_fraction']:.3f} "
-              f"(budget {acceptance['overhead_budget']}), "
-              f"resilient availability "
-              f"{acceptance['resilient_availability']:.4f} "
-              f"(floor {acceptance['availability_floor']}), "
-              f"naive availability {acceptance['naive_availability']:.4f} "
-              f"(must be < {acceptance['naive_ceiling']})",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_dedupe(args) -> int:
     from .data.blocking import (MinHashLSHBlocker,
                                 SortedNeighborhoodBlocker, TfIdfBlocker,
@@ -694,87 +591,30 @@ def _cmd_dedupe(args) -> int:
     return 0
 
 
-def _cmd_bench_blocking(args) -> int:
-    from .dedupe.bench import (BlockingBenchConfig, run_blocking_benchmark,
-                               validate_report, write_report)
-    config = BlockingBenchConfig(num_records=args.records, seed=args.seed)
-    report = run_blocking_benchmark(config, smoke=args.smoke)
-    problems = validate_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    path = args.output or "BENCH_blocking.json"
-    write_report(report, path)
-    acceptance = report["acceptance"]
-    print(f"gate: PC {acceptance['pairs_completeness']:.4f} "
-          f"(floor {acceptance['pairs_completeness_floor']}), "
-          f"RR {acceptance['reduction_ratio']:.6f} "
-          f"(floor {acceptance['reduction_ratio_floor']}), "
-          f"streamed {acceptance['streamed']}")
-    print(f"report written to {path}")
-    if acceptance["enforced"] and not acceptance["passed"]:
-        print("error: blocking acceptance failed", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_bench(args) -> int:
+    # Unset --seed/--batch-size fall through to each suite's defaults.
+    overrides = {key: value for key, value in
+                 (("seed", args.seed), ("batch_size", args.batch_size))
+                 if value is not None}
     if args.suite == "blocking":
-        return _cmd_bench_blocking(args)
-    if args.batch_size is None:
-        # The fused path peaks at larger batches; the serve suites were
-        # tuned (and their floors measured) at 32.
-        args.batch_size = 64 if args.suite == "perf" else 32
-    if args.suite == "serve":
-        return _cmd_bench_serve(args)
-    if args.suite == "resilient":
-        return _cmd_bench_resilient(args)
-    from .perf import run_perf_benchmark, validate_report, write_report
-    report = run_perf_benchmark(num_pairs=args.pairs, seed=args.seed,
-                                zoo_dir=args.zoo_dir,
-                                batch_size=args.batch_size,
-                                smoke=args.smoke)
-    problems = validate_report(report)
-    if problems:
-        for problem in problems:
-            print(f"error: invalid report: {problem}", file=sys.stderr)
-        return 2
-    path = write_report(report, args.output or "BENCH_perf.json")
-    for arch, entry in report["architectures"].items():
-        print(f"{arch}: {entry['baseline_pairs_per_sec']:.1f} -> "
-              f"{entry['fast_pairs_per_sec']:.1f} pairs/sec "
-              f"({entry['speedup']:.2f}x, cache hit rate "
-              f"{entry['cache']['hit_rate']:.2f})")
-    cascade = report.get("cascade")
-    if cascade:
-        band = cascade["band"]
-        print(f"cascade {cascade['primary']} -> {cascade['secondary']}: "
-              f"{cascade['pairs_per_sec']:.1f} pairs/sec "
-              f"({cascade['aggregate_speedup']:.2f}x over serial "
-              f"{cascade['secondary']}, {cascade['fast_speedup']:.2f}x "
-              f"over fast {cascade['secondary']}), "
-              f"band [{band['lo']:.3f}, {band['hi']:.3f}], "
-              f"escalation {cascade['escalation_rate'] * 100.0:.1f}%, "
-              f"F1 {cascade['f1']['cascade']:.3f} vs "
-              f"{cascade['f1']['secondary']:.3f} secondary-only")
-    acceptance = report["acceptance"]
-    print(f"report written to {path}")
-    if acceptance["enforced"] and not acceptance["passed"]:
-        failed = [f"{arch} speedup {gate['speedup']:.2f}x < {gate['floor']}x"
-                  for arch, gate in acceptance["architectures"].items()
-                  if not gate["passed"]]
-        for key, label in (("cascade", "aggregate_speedup"),
-                           ("f1", "delta")):
-            gate = acceptance.get(key)
-            if gate and not gate["passed"]:
-                bound = gate.get("floor", gate.get("tolerance"))
-                failed.append(f"cascade {label} {gate[label]:.3f} "
-                              f"(bound {bound})")
-        print(f"error: perf acceptance failed: {'; '.join(failed)}",
-              file=sys.stderr)
-        return 1
-    return 0
+        from .dedupe.bench import (SUITE, BlockingBenchConfig,
+                                   run_blocking_benchmark)
+        overrides.pop("batch_size", None)
+        report = run_blocking_benchmark(
+            BlockingBenchConfig(num_records=args.records, **overrides),
+            smoke=args.smoke)
+    elif args.suite == "resilient":
+        from .serve.bench_resilient import SUITE, run_resilient_benchmark
+        report = run_resilient_benchmark(
+            arch=args.arch, num_pairs=args.pairs, zoo_dir=args.zoo_dir,
+            max_wait_ms=args.max_wait_ms, num_requests=args.requests,
+            smoke=args.smoke, **overrides)
+    else:
+        from .perf.bench import SUITE, run_perf_benchmark
+        report = run_perf_benchmark(num_pairs=args.pairs,
+                                    zoo_dir=args.zoo_dir, smoke=args.smoke,
+                                    **overrides)
+    return SUITE.publish(report, args.output or f"BENCH_{args.suite}.json")
 
 
 _COMMANDS = {
@@ -793,7 +633,6 @@ _COMMANDS = {
     "audit": _cmd_audit,
     "dedupe": _cmd_dedupe,
     "bench": _cmd_bench,
-    "serve-bench": _cmd_bench,
 }
 
 

@@ -3,9 +3,8 @@
 The cross-cutting instrumentation substrate (see DESIGN.md §8):
 
 * :mod:`repro.obs.registry` — counters / gauges / streaming histograms;
-* :mod:`repro.obs.tracing` — nested wall-clock spans (absorbs the old
-  ``repro.utils.timer``; ``Timer``/``format_duration`` remain here as
-  backwards-compatible aliases);
+* :mod:`repro.obs.tracing` — nested wall-clock spans and
+  ``format_duration``;
 * :mod:`repro.obs.events` — JSONL event sinks with a stable schema,
   bundled per run by :class:`TelemetryRun`;
 * :mod:`repro.obs.callbacks` — the training-loop ``Callback`` protocol
@@ -27,7 +26,7 @@ Disabled-by-default guarantee: with no callbacks registered and no sink
 attached, instrumented code paths cost one falsy check per step.
 """
 
-from .tracing import (Span, Timer, Tracer, aggregate_spans, default_tracer,
+from .tracing import (Span, Tracer, aggregate_spans, default_tracer,
                       format_duration, trace)
 from .registry import (LATENCY_BUCKETS, CardinalityError, Counter, Gauge,
                        Histogram, MetricsRegistry, default_registry)
@@ -47,7 +46,7 @@ from .slo import (FAST_BURN, SLOW_BURN, SLO, Alert, BurnWindow, SLOMonitor,
 
 __all__ = [
     "Span", "Tracer", "trace", "default_tracer", "aggregate_spans",
-    "Timer", "format_duration",
+    "format_duration",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "default_registry",
     "CardinalityError", "LATENCY_BUCKETS",
     "SCHEMA_VERSION", "EVENT_KINDS", "EventSink", "NullSink", "MemorySink",

@@ -1,9 +1,7 @@
 """Span-based tracing: nested wall-clock spans with exclusive time.
 
-Subsumes the old ``repro.utils.timer`` module: :class:`Timer` and
-:func:`format_duration` now live here (and remain re-exported from
-``repro.utils`` for backwards compatibility).  New code should prefer
-spans::
+Also home of :func:`format_duration` (re-exported from
+``repro.utils``).  Time a region with a span::
 
     with trace("epoch", epoch=3) as span:
         ...
@@ -23,7 +21,7 @@ import time
 from contextlib import contextmanager
 
 __all__ = ["Span", "Tracer", "trace", "default_tracer", "aggregate_spans",
-           "Timer", "format_duration"]
+           "format_duration"]
 
 
 class Span:
@@ -134,25 +132,6 @@ def default_tracer() -> Tracer:
 def trace(name: str, **attrs):
     """Open a span on the default tracer (context manager)."""
     return _DEFAULT_TRACER.span(name, **attrs)
-
-
-class Timer:
-    """Context manager measuring elapsed wall-clock seconds.
-
-    .. deprecated:: prefer :func:`trace` spans; kept for backwards
-       compatibility with pre-obs callers.
-    """
-
-    def __init__(self):
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.elapsed = time.perf_counter() - self._start
-        return False
 
 
 def format_duration(seconds: float) -> str:

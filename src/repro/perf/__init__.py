@@ -13,19 +13,17 @@ hardware allows without changing a single logit:
 * **Tokenization caching** (:mod:`repro.perf.cache`): a bounded LRU over
   text -> token ids with hit/miss counters in :mod:`repro.obs`.
 * **Benchmarking** (:mod:`repro.perf.bench`): the ``repro bench perf``
-  engine emitting ``BENCH_perf.json``.
+  suite emitting ``BENCH_perf.json`` through :mod:`repro.bench`.
 """
 
-from .bench import (DEFAULT_ARCHS, SCHEMA_VERSION, SPEEDUP_THRESHOLD,
-                    PerfConfig, PerfGates, run_perf_benchmark,
-                    validate_report, write_report)
+from .bench import (DEFAULT_ARCHS, SUITE, PerfConfig, PerfGates,
+                    run_perf_benchmark)
 from .bucketing import is_left_padded, plan_buckets, real_lengths, trim_length
 from .cache import LRUCache, TokenizationCache, ensure_token_cache
 
 __all__ = [
     "LRUCache", "TokenizationCache", "ensure_token_cache",
     "plan_buckets", "real_lengths", "is_left_padded", "trim_length",
-    "run_perf_benchmark", "validate_report", "write_report",
-    "DEFAULT_ARCHS", "SPEEDUP_THRESHOLD", "SCHEMA_VERSION",
+    "run_perf_benchmark", "DEFAULT_ARCHS", "SUITE",
     "PerfConfig", "PerfGates",
 ]

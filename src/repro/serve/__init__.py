@@ -19,9 +19,8 @@ closes that gap in-process:
   (:class:`SystemClock` / :class:`VirtualClock`) that makes every
   queueing test deterministic and sleep-free;
 * :mod:`~repro.serve.sim` — the seeded load generator and open-loop
-  simulation driver behind both the tests and ``repro bench serve``;
-* :mod:`~repro.serve.bench` — throughput/latency benchmark versus the
-  serial baseline at several offered-load levels;
+  simulation driver behind both the tests and the real-clock
+  benchmarks;
 * :mod:`~repro.serve.retry` / :mod:`~repro.serve.breaker` /
   :mod:`~repro.serve.resilient` — the fault-tolerance tier
   (DESIGN.md §15): seeded-backoff retries with budgets and deadline
@@ -36,12 +35,6 @@ closes that gap in-process:
 
 from .backends import (CallableBackend, CascadeBackend, DeepMatcherBackend,
                        MatcherBackend)
-from .bench import (load_serve_report, run_serve_benchmark,
-                    validate_serve_report, write_serve_report)
-from .bench_resilient import (load_resilient_report,
-                              run_resilient_benchmark,
-                              validate_resilient_report,
-                              write_resilient_report)
 from .breaker import BreakerConfig, CircuitBreaker
 from .clock import Clock, ClockCondition, SystemClock, VirtualClock
 from .resilient import (HedgeConfig, Replica, ReplicaSet,
@@ -67,8 +60,4 @@ __all__ = [
     "BreakerConfig", "CircuitBreaker",
     "HedgeConfig", "ResilientConfig", "Replica", "ReplicaSet",
     "ResilientClient", "run_resilient_simulation",
-    "run_serve_benchmark", "validate_serve_report",
-    "write_serve_report", "load_serve_report",
-    "run_resilient_benchmark", "validate_resilient_report",
-    "write_resilient_report", "load_resilient_report",
 ]

@@ -6,7 +6,7 @@ or measures a latency does it through a :class:`Clock`, never through
 this).  Two implementations share the interface:
 
 * :class:`SystemClock` — real wall-clock time, for production serving
-  and the ``repro bench serve`` load benchmark;
+  and the real-clock load benchmarks;
 * :class:`VirtualClock` — a deterministic simulated clock for the test
   harness (:mod:`repro.serve.sim`): time only moves when the driver
   calls :meth:`~VirtualClock.advance`, which fires registered timers in

@@ -18,7 +18,7 @@ Two halves:
   wake-ups fire deterministically, and a ten-minute soak completes in
   milliseconds of wall time with zero real sleeps.  On a
   :class:`~repro.serve.clock.SystemClock` the same driver becomes a
-  real load benchmark (``repro bench serve``).
+  real load run (``repro bench resilient`` drives it this way).
 
 The resulting :class:`SimReport` carries exact latency samples (clock
 seconds, submit to complete) plus the rejection/timeout/degradation

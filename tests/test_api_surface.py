@@ -24,6 +24,7 @@ PACKAGES = [
     "repro.perf",
     "repro.serve",
     "repro.dedupe",
+    "repro.bench",
 ]
 
 

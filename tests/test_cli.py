@@ -42,6 +42,11 @@ class TestParser:
         args = build_parser().parse_args(["bench", "perf"])
         assert args.batch_size is None  # resolved per-suite at runtime
 
+    def test_retired_bench_entry_points_rejected(self):
+        for argv in (["bench", "serve"], ["serve-bench"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
     def test_bench_blocking_args(self):
         args = build_parser().parse_args(
             ["bench", "blocking", "--smoke", "--records", "5000"])
@@ -128,11 +133,19 @@ class TestCommands:
         assert payload["num_records"] == 300
 
     def test_bench_blocking_smoke(self, tmp_path, capsys):
+        import json
+        from repro.dedupe.bench import SUITE
         output = tmp_path / "BENCH_blocking.json"
         assert main(["bench", "blocking", "--smoke",
                      "--output", str(output)]) == 0
         assert "report written" in capsys.readouterr().out
-        import json
         report = json.loads(output.read_text())
-        assert report["benchmark"] == "blocking"
+        assert SUITE.validate(report) == []
+        assert report["config"]["seed"] == 7  # the suite's own default
         assert report["acceptance"]["enforced"] is False
+        assert set(report["comparison"]) == {"token",
+                                             "sorted_neighborhood",
+                                             "tfidf", "minhash_lsh"}
+        # smoke scale already clears the gate floors, streaming included
+        assert report["acceptance"]["passed"] is True
+        assert report["dedupe"]["streamed"] is True

@@ -343,10 +343,9 @@ class TestClusterArtifacts:
 
 class TestBenchSmoke:
     def test_smoke_report_valid_and_gated(self):
-        from repro.dedupe.bench import (run_blocking_benchmark,
-                                        validate_report)
+        from repro.dedupe.bench import SUITE, run_blocking_benchmark
         report = run_blocking_benchmark(smoke=True, log=lambda *_: None)
-        assert validate_report(report) == []
+        assert SUITE.validate(report) == []
         assert report["acceptance"]["enforced"] is False
         assert set(report["comparison"]) == {"token",
                                              "sorted_neighborhood",
@@ -356,10 +355,11 @@ class TestBenchSmoke:
         assert report["dedupe"]["streamed"] is True
 
     def test_write_report_rejects_invalid(self, tmp_path):
-        from repro.dedupe.bench import write_report
-        with pytest.raises(ValueError):
-            write_report({"benchmark": "blocking"},
-                         tmp_path / "bad.json")
+        from repro.dedupe.bench import SUITE
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match="invalid blocking report"):
+            SUITE.write({"benchmark": "blocking"}, path)
+        assert not path.exists()
 
 
 class TestMatchEngineIntegration:

@@ -7,10 +7,6 @@ real table/figure via the shared helpers.
 """
 
 import ast
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -64,26 +60,6 @@ def test_every_paper_artifact_has_a_benchmark():
                      "bench_figure14_dblp_scholar", "bench_convergence",
                      "bench_ablations"):
         assert expected in names, expected
-
-
-@pytest.mark.serve
-def test_serve_bench_cli_smoke(tiny_zoo_dir, tmp_path):
-    """``repro bench serve --smoke`` runs end to end and writes a
-    schema-valid ``BENCH_serve.json`` (the one benchmark exercising the
-    serving stack on the real clock)."""
-    from repro.serve import validate_serve_report
-    out = tmp_path / "BENCH_serve.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "bench", "serve", "--smoke",
-         "--zoo-dir", str(tiny_zoo_dir), "--output", str(out)],
-        cwd=ROOT, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        check=False)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(out.read_text())
-    assert validate_serve_report(report) == []
-    assert report["smoke"] is True
-    assert "serial baseline" in proc.stdout
 
 
 def test_examples_import_only_public_api():

@@ -113,14 +113,6 @@ class TestTracing:
             pass
         assert default_tracer().since(mark)[-1].name == "helper-span"
 
-    def test_timer_alias_still_importable(self):
-        from repro.obs import Timer as ObsTimer
-        from repro.utils import Timer as UtilsTimer
-        assert ObsTimer is UtilsTimer
-        with UtilsTimer() as t:
-            time.sleep(0.002)
-        assert t.elapsed > 0
-
 
 class TestEvents:
     def test_jsonl_round_trip(self, tmp_path):

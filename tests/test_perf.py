@@ -21,21 +21,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.data import load_benchmark, split_dataset
 from repro.matching import (EncodedPairs, EntityMatcher, FineTuneConfig,
                             encode_dataset, iter_bucketed)
 from repro.nn import (Tensor, fused_kernels, inference_mode,
                       is_fused_enabled, is_grad_enabled, no_grad)
 from repro.obs import MetricsRegistry
-from repro.perf import (LRUCache, TokenizationCache, ensure_token_cache,
-                        is_left_padded, plan_buckets, real_lengths,
-                        run_perf_benchmark, trim_length, validate_report,
-                        write_report)
+from repro.perf import (SUITE, LRUCache, TokenizationCache,
+                        ensure_token_cache, is_left_padded, plan_buckets,
+                        real_lengths, trim_length)
 from repro.utils import child_rng
 
 pytestmark = pytest.mark.perf
 
-BENCH_SCRIPT = Path(__file__).parent.parent / "benchmarks" / "bench_perf.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 ARCH_FIXTURES = ["tiny_bert", "tiny_roberta", "tiny_distilbert",
                  "tiny_xlnet"]
@@ -348,43 +348,54 @@ class TestMatchManyFast:
 class TestBenchReport:
     def test_smoke_report_schema_and_consistency(self, tiny_zoo_dir,
                                                  tmp_path):
-        report = run_perf_benchmark(archs=("bert",), smoke=True,
-                                    zoo_dir=tiny_zoo_dir)
-        assert validate_report(report) == []
+        out = tmp_path / "BENCH_perf.json"
+        assert main(["bench", "perf", "--smoke", "--zoo-dir",
+                     str(tiny_zoo_dir), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert SUITE.validate(report) == []
         assert report["smoke"] is True
-        entry = report["architectures"]["bert"]
-        assert entry["decisions_consistent"]
-        assert entry["fast_pairs_per_sec"] > 0
-        path = write_report(report, tmp_path / "BENCH_perf.json")
-        assert validate_report(json.loads(path.read_text())) == []
+        assert report["acceptance"]["enforced"] is False
+        for entry in report["architectures"].values():
+            assert entry["decision_agreement"] == 1.0
+            assert entry["fast_pairs_per_sec"] > 0
+            assert entry["phases"]["forward_seconds"] > 0
+            # 24 pairs cycle 12 distinct ones through a cache cleared
+            # before the kept repeat: exactly half the pair lookups hit,
+            # whatever the per-text lookups behind the misses add.
+            cache = entry["cache"]
+            assert cache["pair_lookups"] == entry["pairs"] == 24
+            assert cache["pair_hit_rate"] == 0.5
+            assert cache["lookups"] == cache["hits"] + cache["misses"]
 
     def test_validate_report_flags_gaps(self):
-        problems = validate_report({"benchmark": "other"})
-        assert any("architectures" not in p for p in problems)
-        assert any("must be 'perf'" in p for p in problems)
-        # A schema-2 file (cascade with only the serial baseline) is
-        # flagged: wrong version, missing fast-path speedup.
-        stale = {"benchmark": "perf", "schema": 2,
+        problems = SUITE.validate({"benchmark": "other"})
+        assert "missing 'architectures'" in problems
+        assert any("benchmark must be 'perf'" in p for p in problems)
+        # A schema-3 file (legacy acceptance block, cascade with only the
+        # serial baseline) is flagged: wrong version, no gate list, no
+        # fast-path speedup.
+        stale = {"benchmark": "perf", "schema": 3,
                  "cascade": {"primary": "distilbert",
                              "secondary": "roberta", "band": {},
                              "pairs_per_sec": 1.0,
                              "aggregate_speedup": 5.0,
-                             "escalation_rate": 0.2, "f1": {}}}
-        problems = validate_report(stale)
-        assert any("schema field must be 3" in p for p in problems)
-        assert "cascade missing 'fast_speedup'" in problems
+                             "escalation_rate": 0.2, "f1": {}},
+                 "acceptance": {"enforced": True, "passed": True,
+                                "bert_speedup": 4.7, "threshold": 2.0}}
+        problems = SUITE.validate(stale)
+        assert "schema must be 4, got 3" in problems
+        assert "missing 'cascade.fast_speedup'" in problems
+        assert "missing 'acceptance.gates'" in problems
 
     def test_bench_script_smoke(self, tiny_zoo_dir, tmp_path):
+        # The installed entry point, end to end in a fresh interpreter.
         out = tmp_path / "BENCH_perf.json"
         proc = subprocess.run(
-            [sys.executable, str(BENCH_SCRIPT), "--smoke",
-             "--archs", "bert", "--zoo-dir", str(tiny_zoo_dir),
-             "--output", str(out)],
-            cwd=BENCH_SCRIPT.parent, capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": f"{BENCH_SCRIPT.parent.parent / 'src'}:."},
-            check=False)
+            [sys.executable, "-m", "repro", "bench", "perf", "--smoke",
+             "--zoo-dir", str(tiny_zoo_dir), "--output", str(out)],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
-        assert validate_report(report) == []
+        assert SUITE.validate(report) == []
         assert report["smoke"] is True

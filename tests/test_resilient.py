@@ -39,14 +39,12 @@ from repro.serve import (BreakerConfig, CallableBackend, CircuitBreaker,
                          ResilientConfig, RetryBudget, RetryConfig,
                          RetryPolicy, ServeConfig, ServiceClosed,
                          ServiceOverloaded, VirtualClock,
-                         generate_workload, run_resilient_simulation,
-                         validate_resilient_report)
+                         generate_workload, run_resilient_simulation)
+from repro.serve.bench_resilient import SUITE
 
 pytestmark = pytest.mark.resilient
 
-BENCH_SCRIPT = (Path(__file__).parent.parent / "benchmarks"
-                / "bench_resilient_serve.py")
-
+ROOT = Path(__file__).resolve().parent.parent
 
 def _digit_score(entity_a, entity_b):
     """Deterministic identity-revealing score for queueing tests."""
@@ -715,26 +713,28 @@ class TestResilientSLOs:
 
 
 class TestBenchReport:
-    """Satellite 6: the resilience benchmark emits a valid report."""
+    """The resilience suite's report through the shared bench core."""
 
     def test_validate_flags_gaps(self):
-        assert validate_resilient_report({}) != []
-        problems = validate_resilient_report({"benchmark": "resilient"})
+        assert SUITE.validate({}) != []
+        problems = SUITE.validate({"benchmark": "resilient"})
         assert any("chaos" in problem for problem in problems)
 
-    def test_bench_script_smoke(self, tiny_zoo_dir, tmp_path):
+    def test_cli_smoke(self, tiny_zoo_dir, tmp_path):
+        # A child process: the suite's serving threads each enter
+        # ``no_grad`` on the process-global grad flag, and interleaved
+        # exits can leave it disabled for every later test here.
         out = tmp_path / "BENCH_resilient.json"
         proc = subprocess.run(
-            [sys.executable, str(BENCH_SCRIPT), "--smoke",
+            [sys.executable, "-m", "repro", "bench", "resilient", "--smoke",
              "--zoo-dir", str(tiny_zoo_dir), "--output", str(out)],
-            cwd=BENCH_SCRIPT.parent, capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": f"{BENCH_SCRIPT.parent.parent / 'src'}:."},
-            check=False)
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
         assert proc.returncode == 0, proc.stderr
         report = json.loads(out.read_text())
-        assert validate_resilient_report(report) == []
+        assert SUITE.validate(report) == []
         assert report["smoke"] is True
+        assert report["acceptance"]["enforced"] is False
         assert report["chaos"]["resilient"]["offered"] == 32
 
 

@@ -19,10 +19,6 @@ Four contracts anchor ``repro.serve``:
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 import threading
 from pathlib import Path
 
@@ -41,12 +37,10 @@ from repro.serve import (CallableBackend, DeepMatcherBackend,
                          MatcherBackend, MatchService, RequestTimeout,
                          ServeConfig, ServiceClosed, ServiceOverloaded,
                          SystemClock, VirtualClock, generate_workload,
-                         run_simulation, validate_serve_report)
+                         run_simulation)
 from repro.utils import child_rng
 
 pytestmark = pytest.mark.serve
-
-BENCH_SCRIPT = Path(__file__).parent.parent / "benchmarks" / "bench_serve.py"
 
 ARCH_FIXTURES = ["tiny_bert", "tiny_roberta", "tiny_distilbert",
                  "tiny_xlnet"]
@@ -782,31 +776,6 @@ class TestThreadSafetyRegressions:
         assert counter.value == 8 * 5000  # no lost increments
         assert histogram.count == 8 * 5000
         assert histogram.total == pytest.approx(8 * 5000)
-
-
-class TestBenchReport:
-    """Satellite 5: the serve benchmark emits a valid report."""
-
-    def test_validate_flags_gaps(self):
-        assert validate_serve_report({}) != []
-        assert any("levels" in problem
-                   for problem in validate_serve_report(
-                       {"benchmark": "serve"}))
-
-    def test_bench_script_smoke(self, tiny_zoo_dir, tmp_path):
-        out = tmp_path / "BENCH_serve.json"
-        proc = subprocess.run(
-            [sys.executable, str(BENCH_SCRIPT), "--smoke",
-             "--zoo-dir", str(tiny_zoo_dir), "--output", str(out)],
-            cwd=BENCH_SCRIPT.parent, capture_output=True, text=True,
-            env={**os.environ,
-                 "PYTHONPATH": f"{BENCH_SCRIPT.parent.parent / 'src'}:."},
-            check=False)
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(out.read_text())
-        assert validate_serve_report(report) == []
-        assert report["smoke"] is True
-        assert set(report["levels"]) == {"0.5x", "1x", "2x"}
 
 
 class TestRequestTracing:
